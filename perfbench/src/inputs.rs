@@ -60,8 +60,9 @@ const ZIPF_WRITE_PROBE: usize = 10_000;
 const ZIPF_WRITE_BATCH: usize = 64;
 
 /// `churn_open`: query arrival rate, about a third of `zipf_serve`'s
-/// closed-loop throughput on a 2-vCPU host, which leaves the queue room
-/// to drain: at 4,000/s one run in two backed up for seconds.
+/// closed-loop throughput (~7,800 qps on a 2-vCPU host), which leaves the
+/// queue room to drain: at 3,500/s it stayed backed up for a third of
+/// each clock epoch.
 const CHURN_QUERY_RATE: f64 = 2_500.0;
 /// `churn_open` issues no global queries. After each clock advance the
 /// first global query refreshes all 8,192 rows and stalls both shards for
