@@ -6,17 +6,65 @@
 //! weight `Wᵢ` = its effective bound width — `Hᵢ − Lᵢ` for `T+` tuples,
 //! zero-extended (§6.2) for `T?` tuples. Capacity is the precision
 //! constraint `R`: the kept tuples' residual widths sum to the post-refresh
-//! answer width, which must not exceed `R` for any realization.
+//! answer width, which must not exceed `R` for any realization. A small
+//! rounding allowance (`rounding_allowance`) comes out of the capacity
+//! first, so the answer's *computed* width stays within `R` as well.
 
 use std::collections::HashSet;
 
 use trapp_knapsack::{Instance, Item};
-use trapp_types::{TrappError, TupleId};
+use trapp_types::{Interval, TrappError, TupleId};
 
 use crate::agg::sum::sum_weight;
 use crate::agg::AggInput;
 
 use super::{run_solver, RefreshPlan, SolverStrategy};
+
+/// The rounding allowance reserved out of a SUM/AVG knapsack capacity,
+/// given each item's `(interval, weight)` in canonical order.
+///
+/// The knapsack packs the kept items' widths up to the capacity, but the
+/// served answer's width is computed as `hi − lo` of two floating-point
+/// sums over every item's endpoint (or refreshed value). Each sum of `n`
+/// terms can round by up to `(n − 1)·u·Σ|term|` (`u = EPSILON / 2`), so a
+/// plan packed to exactly `R` can serve a width just above `R`: sums near
+/// 6·10⁵ gave 25.000000000116 for `WITHIN 25`. Reserving
+/// `EPSILON·(n + 2)·(Σ|endpoint| + capacity)` covers both sums, the
+/// rounding of each item's width and of the knapsack's running total, and
+/// the final subtraction (and AVG's division by the count).
+///
+/// Nothing is reserved in two cases. Integer endpoints and capacities
+/// below 2⁵³ sum exactly, so exact fits — such as the paper's worked
+/// examples — still pack to `R`. And a capacity that holds every item's
+/// weight keeps them all, as it always has: the reserve decides which
+/// items a tight plan refreshes, never that a plan refreshes at all. (So
+/// a cached answer whose widths sum to within rounding of `R` can still
+/// compute a hair above it.)
+pub(crate) fn rounding_allowance(
+    items: impl Iterator<Item = (Interval, f64)>,
+    capacity: f64,
+) -> f64 {
+    let mut n = 0usize;
+    let mut total_weight = 0.0;
+    let mut magnitude = capacity.abs();
+    let mut integral = capacity.fract() == 0.0;
+    for (iv, weight) in items {
+        n += 1;
+        total_weight += weight;
+        magnitude += iv.lo().abs() + iv.hi().abs();
+        integral &= iv.lo().fract() == 0.0 && iv.hi().fract() == 0.0;
+    }
+    const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0; // 2⁵³
+    if total_weight <= capacity || (integral && magnitude < EXACT_INTEGERS) {
+        return 0.0;
+    }
+    let allowance = f64::EPSILON * (n + 2) as f64 * magnitude;
+    if allowance.is_finite() {
+        allowance
+    } else {
+        0.0
+    }
+}
 
 /// CHOOSE_REFRESH for SUM with an explicit knapsack capacity.
 ///
@@ -42,7 +90,8 @@ pub(crate) fn solve_keep_set(
 /// runs over the remaining items only. `Ok(None)` means the reduced
 /// capacity went negative: no refresh set over available tuples can meet
 /// the constraint. With `excluded` empty this is bit-identical to
-/// [`solve_keep_set`] (same items, same order, same capacity).
+/// [`solve_keep_set`] (same items, same order, same capacity). Either way
+/// the [`rounding_allowance`] is reserved first.
 pub(crate) fn solve_keep_set_excluding(
     input: &AggInput,
     weights: &[f64],
@@ -51,7 +100,13 @@ pub(crate) fn solve_keep_set_excluding(
     excluded: &HashSet<TupleId>,
 ) -> Result<Option<RefreshPlan>, TrappError> {
     debug_assert_eq!(weights.len(), input.items.len());
-    let mut cap = capacity;
+    let items = input
+        .items
+        .iter()
+        .map(|i| i.interval)
+        .zip(weights.iter().copied());
+    let allowance = rounding_allowance(items, capacity);
+    let mut cap = (capacity - allowance).max(0.0);
     let mut available: Vec<usize> = Vec::with_capacity(input.items.len());
     for (i, item) in input.items.iter().enumerate() {
         if excluded.contains(&item.tid) {
@@ -113,6 +168,16 @@ pub fn choose_refresh_sum_uniform_indexed(
     if costs.any(|c| c != first) {
         return None;
     }
+
+    // The scan planner's allowance, summed in the same (tuple) order over
+    // the same intervals and weights: the unfiltered input is every row,
+    // all `T+`, each weighing its width.
+    // (A width index implies a numeric column: every row has an interval.)
+    let items = table
+        .scan()
+        .filter_map(|(_, row)| row.interval(column).ok())
+        .map(|iv| (iv, iv.width()));
+    let r = (r - rounding_allowance(items, r)).max(0.0);
 
     // Keep lightest-first while the capacity holds; everything after the
     // cut refreshes. The walk visits `(width, tuple)` ascending — the
@@ -259,6 +324,69 @@ mod tests {
             .unwrap();
         // Index present but costs differ → refuse.
         assert!(choose_refresh_sum_uniform_indexed(&t, TRAFFIC, 10.0).is_none());
+    }
+
+    /// A plan packed to exactly `R` over sums near 6·10⁵ must still serve
+    /// a computed width `≤ R`: `hi − lo` of the two large sums rounds, so
+    /// the planner reserves a rounding allowance out of the capacity. Each
+    /// instance holds 100 quarter-wide items (exactly 25 of width, so a
+    /// tight fit for `WITHIN 25`) among 8,092 unit-wide ones near 75.
+    #[test]
+    fn large_sums_keep_computed_width_within_r() {
+        use crate::agg::sum::bounded_sum;
+        use crate::agg::AggItem;
+        use trapp_expr::Band;
+        use trapp_types::{Interval, TupleId};
+
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut uniform = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let r = 25.0;
+        for trial in 0..40 {
+            let items: Vec<AggItem> = (0..8192u64)
+                .map(|i| {
+                    let lo = 70.0 + 10.0 * uniform();
+                    let width = if i % 82 == 0 { 0.25 } else { 1.0 };
+                    AggItem {
+                        tid: TupleId::new(i + 1),
+                        band: Band::Plus,
+                        interval: Interval::new(lo, lo + width).unwrap(),
+                        cost: 1.0,
+                    }
+                })
+                .collect();
+            let input = AggInput::new(items, 0, (0, 0));
+            for strategy in [
+                SolverStrategy::GreedyByWeight,
+                SolverStrategy::GreedyDensity,
+            ] {
+                let plan = choose_refresh_sum(&input, r, strategy).unwrap();
+                let refreshed: HashSet<TupleId> = plan.tuples.iter().copied().collect();
+                // Refreshed tuples collapse to their master value.
+                let after: Vec<AggItem> = input
+                    .items
+                    .iter()
+                    .map(|item| {
+                        let mut item = *item;
+                        if refreshed.contains(&item.tid) {
+                            let v = item.interval.lo() + item.interval.width() * uniform();
+                            item.interval = Interval::point(v).unwrap();
+                        }
+                        item
+                    })
+                    .collect();
+                let answer = bounded_sum(&AggInput::new(after, 0, (0, 0)));
+                assert!(
+                    answer.width() <= r,
+                    "trial {trial} {strategy}: width {} over WITHIN {r}",
+                    answer.width()
+                );
+            }
+        }
     }
 
     /// §6.2: a T? tuple whose aggregation value is exactly known still has

@@ -997,19 +997,15 @@ impl ServiceCore {
         match route {
             Route::Single(s) => {
                 let cache = self.router.shard(s).cache.lock();
-                for (_, r) in cache.objects() {
-                    if dark.contains(&r.source) {
-                        ex.insert(&r.cell.0, r.cell.1);
-                    }
+                for (table, tid) in cache.tuples_on_sources(dark) {
+                    ex.insert(table, tid);
                 }
             }
             Route::Scatter => {
                 for shard in self.router.shards() {
                     let cache = shard.cache.lock();
-                    for (_, r) in cache.objects() {
-                        if dark.contains(&r.source) {
-                            ex.insert(&r.cell.0, shard.global_tid(&r.cell.0, r.cell.1));
-                        }
+                    for (table, tid) in cache.tuples_on_sources(dark) {
+                        ex.insert(table, shard.global_tid(table, tid));
                     }
                 }
             }

@@ -36,20 +36,57 @@ pub struct Table {
     default_cost: f64,
     pending_inserts: u64,
     pending_deletes: u64,
-    /// Monotonic mutation counter; bumped by every change that can alter
-    /// a classified view (row content, cost, cardinality slack, deletes).
-    version: u64,
     /// Bumped only when an **exact** (non-bounded) cell changes. Band
     /// views lean on this: a tuple whose predicate fails on its exact
     /// cells alone stays `T−` through any amount of bound movement, so
     /// replays skip it as long as this counter stands still.
     exact_version: u64,
-    /// Versions at or below this are no longer covered by `change_log`
+    log: ChangeLog,
+}
+
+/// The table's mutation version and the bounded log of which tuple each
+/// version touched. Kept apart from the rows so a bulk write can log while
+/// it walks them.
+#[derive(Clone, Default)]
+struct ChangeLog {
+    /// Monotonic mutation counter; bumped by every change that can alter
+    /// a classified view (row content, cost, cardinality slack, deletes).
+    version: u64,
+    /// Versions at or below this are no longer covered by `entries`
     /// (the log was compacted, or a table-global change invalidated
     /// everything); readers behind the floor must rebuild.
-    log_floor: u64,
+    floor: u64,
     /// `(version, tuple)` per logged mutation, ascending by version.
-    change_log: Vec<(u64, TupleId)>,
+    entries: Vec<(u64, TupleId)>,
+}
+
+impl ChangeLog {
+    /// Records one tuple-scoped mutation, compacting the log once it holds
+    /// `cap` entries (readers further behind than the floor simply
+    /// rebuild — correctness never depends on log depth).
+    fn record(&mut self, tid: TupleId, cap: usize) {
+        if self.entries.len() >= cap {
+            // Readers already synced to the current version keep working;
+            // anything further behind rebuilds.
+            self.entries.clear();
+            self.floor = self.version;
+        }
+        self.version += 1;
+        self.entries.push((self.version, tid));
+    }
+
+    /// Records a table-global mutation (e.g. cardinality slack): every
+    /// memoized view must rebuild.
+    fn record_global(&mut self) {
+        self.version += 1;
+        self.entries.clear();
+        self.floor = self.version;
+    }
+}
+
+/// The change-log budget for a table of `rows` tuples.
+fn log_capacity(rows: usize) -> usize {
+    (rows * 2).max(1024)
 }
 
 impl Table {
@@ -65,17 +102,15 @@ impl Table {
             default_cost: 1.0,
             pending_inserts: 0,
             pending_deletes: 0,
-            version: 0,
             exact_version: 0,
-            log_floor: 0,
-            change_log: Vec::new(),
+            log: ChangeLog::default(),
         }
     }
 
     /// The table's monotonic mutation version. Two reads returning the
     /// same version bracket a span with no view-visible change.
     pub fn version(&self) -> u64 {
-        self.version
+        self.log.version
     }
 
     /// The exact-cell mutation version; see the field docs.
@@ -92,36 +127,19 @@ impl Table {
     /// tuples appear like any other change; readers detect the deletion
     /// by the missing row.
     pub fn changes_since(&self, since: u64) -> Option<&[(u64, TupleId)]> {
-        if since < self.log_floor || since > self.version {
+        let log = &self.log;
+        if since < log.floor || since > log.version {
             return None;
         }
         // The log is version-ascending: binary search the first entry
         // strictly after `since`.
-        let start = self.change_log.partition_point(|&(v, _)| v <= since);
-        Some(&self.change_log[start..])
+        let start = log.entries.partition_point(|&(v, _)| v <= since);
+        Some(&log.entries[start..])
     }
 
-    /// Records one tuple-scoped mutation, compacting the log when it
-    /// outgrows its budget (readers further behind than the floor simply
-    /// rebuild — correctness never depends on log depth).
+    /// Records one tuple-scoped mutation.
     fn log_change(&mut self, tid: TupleId) {
-        let cap = (self.rows.len() * 2).max(1024);
-        if self.change_log.len() >= cap {
-            // Readers already synced to the current version keep working;
-            // anything further behind rebuilds.
-            self.change_log.clear();
-            self.log_floor = self.version;
-        }
-        self.version += 1;
-        self.change_log.push((self.version, tid));
-    }
-
-    /// Records a table-global mutation (e.g. cardinality slack): every
-    /// memoized view must rebuild.
-    fn log_global_change(&mut self) {
-        self.version += 1;
-        self.change_log.clear();
-        self.log_floor = self.version;
+        self.log.record(tid, log_capacity(self.rows.len()));
     }
 
     /// Table name.
@@ -249,44 +267,13 @@ impl Table {
         cell: BoundedValue,
     ) -> Result<(), TrappError> {
         self.schema.validate_cell(column, &cell)?;
-        let cost = self.cost(tid)?;
         let row = self
             .rows
             .get_mut(&tid)
             .ok_or(TrappError::UnknownTuple(tid.raw()))?;
-        let old = row.cell(column)?.clone();
-        // Nothing changed: skip index churn and keep the version stable,
-        // so re-materializing bounds at an unchanged instant leaves
-        // memoized views valid. Numeric cells compare by interval, so
-        // re-materializing a freshly pinned `Exact(v)` as the point bound
-        // `[v, v]` is also a no-op rather than a representation flip.
-        let unchanged = old == cell
-            || matches!(
-                (old.as_interval(), cell.as_interval()),
-                (Ok(a), Ok(b)) if a == b
-            );
-        if unchanged {
+        if !replace_cell(&mut self.indexes, tid, row, column, cell)? {
             return Ok(());
         }
-        // Update indexes touching this column.
-        for (key, ix) in self.indexes.iter_mut() {
-            let col = match key {
-                IndexKey::Lo { column: c }
-                | IndexKey::Hi { column: c }
-                | IndexKey::Width { column: c } => *c,
-                IndexKey::Cost => continue,
-            };
-            if col != column {
-                continue;
-            }
-            if let Some(old_key) = cell_index_key(*key, &old) {
-                ix.remove(old_key, tid);
-            }
-            if let Some(new_key) = cell_index_key(*key, &cell) {
-                ix.insert(new_key, tid);
-            }
-        }
-        let _ = cost;
         // Conservative on the error arm: an unplaceable column counts as
         // exact, forcing dependent views to rebuild rather than skip.
         if self
@@ -297,8 +284,50 @@ impl Table {
         {
             self.exact_version += 1;
         }
-        row.set_cell(column, cell);
         self.log_change(tid);
+        Ok(())
+    }
+
+    /// Writes a batch of bounds into bounded cells: the bulk form of
+    /// [`Table::update_cell`] with `BoundedValue::Bounded` cells, used to
+    /// materialize every bound of a table after a clock advance.
+    ///
+    /// The result is exactly that of calling `update_cell` on each cell in
+    /// turn — same validation errors, same no-op skips for numerically
+    /// unchanged cells, same index maintenance, one change-log entry (and
+    /// version bump) per changed cell — but the schema is checked once per
+    /// column and, for cells sorted by `(tuple, column)`, the rows are
+    /// walked once in order instead of searched per cell. Unsorted input
+    /// stays correct; each backward step restarts the walk.
+    pub fn write_bounds(
+        &mut self,
+        cells: impl IntoIterator<Item = (TupleId, usize, Interval)>,
+    ) -> Result<(), TrappError> {
+        let mut checked = vec![false; self.schema.arity()];
+        let cap = log_capacity(self.rows.len());
+        let mut walk = self.rows.range_mut(..);
+        let mut current = walk.next();
+        for (tid, column, iv) in cells {
+            let cell = BoundedValue::Bounded(iv);
+            if !checked.get(column).copied().unwrap_or(false) {
+                self.schema.validate_cell(column, &cell)?;
+                checked[column] = true;
+            }
+            if current.as_ref().is_some_and(|(t, _)| **t > tid) {
+                walk = self.rows.range_mut(tid..);
+                current = walk.next();
+            }
+            while current.as_ref().is_some_and(|(t, _)| **t < tid) {
+                current = walk.next();
+            }
+            let row = match current.as_mut() {
+                Some((t, row)) if **t == tid => row,
+                _ => return Err(TrappError::UnknownTuple(tid.raw())),
+            };
+            if replace_cell(&mut self.indexes, tid, row, column, cell)? {
+                self.log.record(tid, cap);
+            }
+        }
         Ok(())
     }
 
@@ -380,7 +409,7 @@ impl Table {
         self.pending_inserts = inserts;
         self.pending_deletes = deletes;
         // Slack is table-global: every memoized view must rebuild.
-        self.log_global_change();
+        self.log.record_global();
     }
 
     /// The current `(pending_inserts, pending_deletes)` slack.
@@ -427,6 +456,51 @@ impl Table {
             }
         }
     }
+}
+
+/// Replaces `row`'s cell at `column` with `cell` unless the two are
+/// numerically equal, keeping the column's endpoint indexes in step.
+/// Returns whether the cell changed.
+///
+/// Numeric cells compare by interval, so re-materializing a freshly
+/// pinned `Exact(v)` as the point bound `[v, v]` is a no-op rather than a
+/// representation flip; skipped writes leave the table version (and thus
+/// memoized views) untouched.
+fn replace_cell(
+    indexes: &mut HashMap<IndexKey, OrderedIndex>,
+    tid: TupleId,
+    row: &mut Row,
+    column: usize,
+    cell: BoundedValue,
+) -> Result<bool, TrappError> {
+    let old = row.cell(column)?;
+    let unchanged = *old == cell
+        || matches!(
+            (old.as_interval(), cell.as_interval()),
+            (Ok(a), Ok(b)) if a == b
+        );
+    if unchanged {
+        return Ok(false);
+    }
+    for (key, ix) in indexes.iter_mut() {
+        let col = match key {
+            IndexKey::Lo { column: c }
+            | IndexKey::Hi { column: c }
+            | IndexKey::Width { column: c } => *c,
+            IndexKey::Cost => continue,
+        };
+        if col != column {
+            continue;
+        }
+        if let Some(old_key) = cell_index_key(*key, old) {
+            ix.remove(old_key, tid);
+        }
+        if let Some(new_key) = cell_index_key(*key, &cell) {
+            ix.insert(new_key, tid);
+        }
+    }
+    row.set_cell(column, cell);
+    Ok(true)
 }
 
 fn index_column(key: IndexKey) -> usize {
@@ -513,6 +587,57 @@ mod tests {
         assert!(iv.is_point());
         assert_eq!(iv.lo(), 4.5);
         assert!(t.refresh_cell(a, 1, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn update_cell_rejects_unknown_tuples() {
+        let mut t = table();
+        let a = t.insert(row(1, 0.0, 10.0)).unwrap();
+        let v = t.version();
+        let err = t
+            .update_cell(
+                TupleId::new(99),
+                1,
+                BoundedValue::bounded(1.0, 2.0).unwrap(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, TrappError::UnknownTuple(99)), "{err}");
+        assert!(t.refresh_cell(TupleId::new(99), 1, 1.0).is_err());
+        // Nothing moved, and known tuples still update.
+        assert_eq!(t.version(), v);
+        t.update_cell(a, 1, BoundedValue::bounded(1.0, 2.0).unwrap())
+            .unwrap();
+        assert_eq!(t.version(), v + 1);
+    }
+
+    #[test]
+    fn write_bounds_writes_changed_cells_and_rejects_bad_ones() {
+        let mut t = table();
+        let a = t.insert(row(1, 0.0, 10.0)).unwrap();
+        let b = t.insert(row(2, 0.0, 10.0)).unwrap();
+        let v = t.version();
+        let iv = |lo, hi| Interval::new(lo, hi).unwrap();
+        // `a` is unchanged (no version bump), `b` moves.
+        t.write_bounds([(a, 1, iv(0.0, 10.0)), (b, 1, iv(2.0, 3.0))])
+            .unwrap();
+        assert_eq!(t.version(), v + 1);
+        assert_eq!(touched(&t, v).unwrap(), vec![b]);
+        assert_eq!(t.interval(b, 1).unwrap(), iv(2.0, 3.0));
+        // Bounds into an exact column, unknown columns and unknown tuples
+        // fail like `update_cell` does.
+        assert!(t.write_bounds([(a, 0, iv(1.0, 2.0))]).is_err());
+        assert!(t.write_bounds([(a, 7, iv(1.0, 2.0))]).is_err());
+        let err = t
+            .write_bounds([(a, 1, iv(4.0, 5.0)), (TupleId::new(99), 1, iv(1.0, 2.0))])
+            .unwrap_err();
+        assert!(matches!(err, TrappError::UnknownTuple(99)), "{err}");
+        // Cells before the failing one landed, as in a per-cell loop.
+        assert_eq!(t.interval(a, 1).unwrap(), iv(4.0, 5.0));
+        // Out-of-order input restarts the walk instead of failing.
+        t.write_bounds([(b, 1, iv(6.0, 7.0)), (a, 1, iv(8.0, 9.0))])
+            .unwrap();
+        assert_eq!(t.interval(a, 1).unwrap(), iv(8.0, 9.0));
+        assert_eq!(t.interval(b, 1).unwrap(), iv(6.0, 7.0));
     }
 
     #[test]

@@ -2,11 +2,19 @@
 //!
 //! A [`CacheNode`] owns a `trapp-core` [`QuerySession`] whose tables hold
 //! the *materialized* bounds. Each bounded cell is backed by one replicated
-//! object with a time-varying [`BoundFunction`]; before a query runs, the
+//! object with a time-varying [`trapp_bounds::BoundFunction`]; before a query runs, the
 //! cache evaluates every bound function at the current time and writes the
 //! resulting intervals into the table (§3.2: "we assume that any
 //! time-varying bound functions have been evaluated at the current time
 //! `T_c`").
+//!
+//! The objects, their sources and their current bound functions live in a
+//! table-ordered bound store: per cached table, one vector of slots in
+//! `(tuple, column)` order. After a clock advance, materialization is one
+//! sequential pass per table that evaluates every slot's bound at `T_c` and
+//! hands the sorted cells to [`trapp_storage::Table::write_bounds`], which
+//! merge-walks the table's rows once. While the clock stands still, only
+//! the slots installed since the last pass are rewritten.
 //!
 //! Query-initiated refreshes flow through an internal transport-backed
 //! oracle (`SystemOracle`), which routes
@@ -14,27 +22,29 @@
 //! transport, hands the exact value to the executor, and records the new
 //! bound function for installation after the query completes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use trapp_bounds::BoundFunction;
 use trapp_core::executor::{QueryResult, QuerySession, RefreshOracle};
 use trapp_types::{BoundedValue, CacheId, ObjectId, SourceId, TrappError, TupleId};
 
+use crate::bound_store::{BoundStore, BoundTable, Install, Slot, SlotRef};
 use crate::clock::SimClock;
 use crate::message::{Refresh, RefreshKind};
 use crate::stats::CacheStats;
 use crate::transport::Transport;
 
-/// Identifies one bounded cell of one cached table.
-pub type CellKey = (String, TupleId, usize);
-
 /// Where a replicated object lives and which cell it backs.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ObjectRoute {
     /// The owning source.
     pub source: SourceId,
-    /// The backed cell.
-    pub cell: CellKey,
+    /// The backed table, as the cache's bound-table id; see
+    /// [`CacheNode::bound_table_name`].
+    pub table: usize,
+    /// The backed tuple.
+    pub tuple: TupleId,
+    /// The backed column.
+    pub column: usize,
 }
 
 /// A TRAPP data cache.
@@ -42,22 +52,10 @@ pub struct CacheNode {
     id: CacheId,
     session: QuerySession,
     clock: SimClock,
-    /// object → route (source + cell).
-    routes: HashMap<ObjectId, ObjectRoute>,
-    /// cell → object (reverse index used by the oracle).
-    by_cell: HashMap<CellKey, ObjectId>,
-    /// Current bound function per object.
-    bounds: HashMap<ObjectId, BoundFunction>,
-    /// Sequence of the last installed refresh per object (see
-    /// [`Refresh::seq`]); installs arriving out of order are skipped.
-    installed_seq: HashMap<ObjectId, u64>,
+    /// Every bound object: its cell, source and current bound function.
+    store: BoundStore,
     /// The instant of the last full materialization, if any.
     materialized_at: Option<f64>,
-    /// Objects whose bound changed since the last materialization. While
-    /// the clock stands still, re-materializing only has to re-evaluate
-    /// these — the incremental path that keeps repeat plan passes O(Δ)
-    /// instead of O(objects).
-    dirty_bounds: std::collections::HashSet<ObjectId>,
     /// When `true` (the default), a CHOOSE_REFRESH plan is served with one
     /// transport round-trip per *source*; when `false`, one per *object*
     /// (the seed's behavior, kept as a measurable baseline).
@@ -72,12 +70,8 @@ impl CacheNode {
             id,
             session: QuerySession::with_catalog(trapp_storage::Catalog::new()),
             clock,
-            routes: HashMap::new(),
-            by_cell: HashMap::new(),
-            bounds: HashMap::new(),
-            installed_seq: HashMap::new(),
+            store: BoundStore::default(),
             materialized_at: None,
-            dirty_bounds: std::collections::HashSet::new(),
             batch_refreshes: true,
             stats: CacheStats::default(),
         }
@@ -95,13 +89,41 @@ impl CacheNode {
     }
 
     /// Where `object` lives and which cell it backs, if bound here.
-    pub fn route(&self, object: ObjectId) -> Option<&ObjectRoute> {
-        self.routes.get(&object)
+    pub fn route(&self, object: ObjectId) -> Option<ObjectRoute> {
+        self.store
+            .slot_of(object)
+            .map(|(table, slot)| route_of(table, slot))
     }
 
-    /// Iterates all bound objects with their routes.
-    pub fn objects(&self) -> impl Iterator<Item = (ObjectId, &ObjectRoute)> {
-        self.routes.iter().map(|(&o, r)| (o, r))
+    /// Iterates all bound objects with their routes, table by table in
+    /// `(tuple, column)` order.
+    pub fn objects(&self) -> impl Iterator<Item = (ObjectId, ObjectRoute)> + '_ {
+        self.store
+            .tables()
+            .iter()
+            .enumerate()
+            .flat_map(|(table, t)| t.slots.iter().map(move |s| (s.object, route_of(table, s))))
+    }
+
+    /// The name of the table with bound-table id `table` (see
+    /// [`ObjectRoute::table`]).
+    pub fn bound_table_name(&self, table: usize) -> Option<&str> {
+        self.store.tables().get(table).map(|t| t.name.as_str())
+    }
+
+    /// The `(table, tuple)` pairs with at least one cell backed by an
+    /// object of `sources` — what planning must treat as unrefreshable
+    /// while those sources are down.
+    pub fn tuples_on_sources<'a>(
+        &'a self,
+        sources: &'a HashSet<SourceId>,
+    ) -> impl Iterator<Item = (&'a str, TupleId)> + 'a {
+        self.store.tables().iter().flat_map(move |t| {
+            t.slots
+                .iter()
+                .filter(|s| sources.contains(&s.source))
+                .map(move |s| (t.name.as_str(), s.tuple))
+        })
     }
 
     /// The replicated objects backing `tid`'s bounded cells, with their
@@ -117,17 +139,10 @@ impl CacheNode {
             .table(table)?
             .schema()
             .bounded_columns();
+        let slots = self.store.table(table);
         columns
             .into_iter()
-            .map(|col| {
-                let key: CellKey = (table.to_owned(), tuple, col);
-                let object = self.by_cell.get(&key).ok_or_else(|| {
-                    TrappError::RefreshFailed(format!(
-                        "no replicated object backs {table}[{tuple}].{col}"
-                    ))
-                })?;
-                Ok((*object, self.routes[object].source))
-            })
+            .map(|col| object_at(slots, table, tuple, col))
             .collect()
     }
 
@@ -153,6 +168,8 @@ impl CacheNode {
 
     /// Binds `object` (owned by `source`) to a bounded cell. The cell's
     /// bound stays unknown until a subscription refresh is installed.
+    /// Binding a cell that is already backed replaces its object; binding
+    /// an object that already backs another cell moves it.
     pub fn bind_object(
         &mut self,
         object: ObjectId,
@@ -161,25 +178,18 @@ impl CacheNode {
         tuple: TupleId,
         column: usize,
     ) -> Result<(), TrappError> {
-        let cell: CellKey = (table.into(), tuple, column);
+        let table = table.into();
         // Validate the cell exists and is bounded.
-        let t = self.session.catalog().table(&cell.0)?;
+        let t = self.session.catalog().table(&table)?;
         let def = t.schema().column_at(column)?;
         if !def.bounded {
             return Err(TrappError::BoundednessViolation(format!(
-                "column {} of {} is exact; only bounded cells back replicated objects",
-                def.name, cell.0
+                "column {} of {table} is exact; only bounded cells back replicated objects",
+                def.name
             )));
         }
         t.row(tuple)?;
-        self.routes.insert(
-            object,
-            ObjectRoute {
-                source,
-                cell: cell.clone(),
-            },
-        );
-        self.by_cell.insert(cell, object);
+        self.store.bind(object, source, &table, tuple, column);
         Ok(())
     }
 
@@ -193,24 +203,13 @@ impl CacheNode {
     /// raced a concurrently fetched query refresh — and is skipped, so the
     /// cache can never regress behind the Refresh Monitor's tracked bound.
     pub fn install_refresh(&mut self, refresh: Refresh) -> Result<(), TrappError> {
-        let route = self.routes.get(&refresh.object).ok_or_else(|| {
-            TrappError::RefreshFailed(format!("{} is not bound here", refresh.object))
-        })?;
-        if self
-            .installed_seq
-            .get(&refresh.object)
-            .is_some_and(|&last| refresh.seq < last)
-        {
-            self.stats.stale_skipped += 1;
+        let Some(at) = self.record_install(&refresh)? else {
             return Ok(());
-        }
-        self.installed_seq.insert(refresh.object, refresh.seq);
-        let (table, tuple, column) = route.cell.clone();
-        self.bounds.insert(refresh.object, refresh.bound);
-        self.dirty_bounds.insert(refresh.object);
+        };
+        let (table, tuple, column) = self.store.cell(at);
         self.session
             .catalog_mut()
-            .table_mut(&table)?
+            .table_mut(table)?
             .refresh_cell(tuple, column, refresh.value)?;
         match refresh.kind {
             RefreshKind::ValueInitiated => self.stats.value_initiated += 1,
@@ -221,59 +220,69 @@ impl CacheNode {
         Ok(())
     }
 
+    /// Records `refresh`'s bound function in the store, marking its slot
+    /// for re-materialization. Returns the slot, or `None` (counted in
+    /// [`CacheStats::stale_skipped`]) when the refresh is sequence-stale.
+    fn record_install(&mut self, refresh: &Refresh) -> Result<Option<SlotRef>, TrappError> {
+        match self.store.install(refresh) {
+            Install::Recorded(at) => Ok(Some(at)),
+            Install::Stale => {
+                self.stats.stale_skipped += 1;
+                Ok(None)
+            }
+            Install::Unbound => Err(TrappError::RefreshFailed(format!(
+                "{} is not bound here",
+                refresh.object
+            ))),
+        }
+    }
+
     /// Evaluates bound functions at the current time and writes the
     /// intervals into the cached tables.
     ///
-    /// Incremental: while the clock stands still only the bounds that
-    /// changed since the last call (new installs) are re-evaluated, so a
+    /// After a clock advance this is one pass per table: every slot's
+    /// bound is evaluated in `(tuple, column)` order and written through
+    /// [`trapp_storage::Table::write_bounds`]. While the clock stands still
+    /// only the slots installed since the last call are rewritten, so a
     /// query's second plan pass — and every further query in the same
-    /// instant — pays O(changed) instead of O(objects). A clock advance
-    /// re-evaluates everything (every bound re-widened). The written
-    /// intervals are identical either way; `Table::update_cell` skips
-    /// no-op writes, so unchanged cells also leave table versions (and
-    /// thus memoized band views) untouched.
+    /// instant — pays O(changed) instead of O(objects). The written
+    /// intervals are identical either way; numerically unchanged cells are
+    /// skipped, so they also leave table versions (and thus memoized band
+    /// views) untouched.
     pub fn materialize(&mut self) -> Result<(), TrappError> {
         let now = self.clock.now();
         if self.materialized_at == Some(now) {
-            if self.dirty_bounds.is_empty() {
-                return Ok(());
-            }
-            // Remove each object only after its cell is written, so a
-            // failure leaves it (and everything not yet reached) dirty
-            // for the next call instead of silently skipped.
-            let dirty: Vec<ObjectId> = self.dirty_bounds.iter().copied().collect();
-            for object in dirty {
-                self.materialize_object(object, now)?;
-                self.dirty_bounds.remove(&object);
-            }
-            return Ok(());
+            return self.materialize_dirty(now);
         }
-        let objects: Vec<ObjectId> = self.bounds.keys().copied().collect();
-        for object in objects {
-            self.materialize_object(object, now)?;
+        let catalog = self.session.catalog_mut();
+        for t in self.store.tables() {
+            let cells = t.slots.iter().filter_map(|s| {
+                s.bound
+                    .map(|bound| (s.tuple, s.column, bound.interval_at(now)))
+            });
+            catalog.table_mut(&t.name)?.write_bounds(cells)?;
         }
-        self.dirty_bounds.clear();
+        self.store.clear_dirty();
         self.materialized_at = Some(now);
         Ok(())
     }
 
-    /// Writes one object's bound interval at `now` into its cell.
-    fn materialize_object(&mut self, object: ObjectId, now: f64) -> Result<(), TrappError> {
-        let bound = self
-            .bounds
-            .get(&object)
-            .ok_or_else(|| TrappError::Internal(format!("{object} marked dirty without bound")))?;
-        let route = self
-            .routes
-            .get(&object)
-            .ok_or_else(|| TrappError::Internal(format!("{object} has bound but no route")))?;
-        let (table, tuple, column) = route.cell.clone();
-        let iv = bound.interval_at(now);
-        self.session.catalog_mut().table_mut(&table)?.update_cell(
-            tuple,
-            column,
-            BoundedValue::Bounded(iv),
-        )
+    /// Rewrites the dirty slots' cells at `now`. A slot leaves the dirty
+    /// list only after its cell is written, so a failure leaves it (and
+    /// everything not yet reached) dirty for the next call instead of
+    /// silently skipped.
+    fn materialize_dirty(&mut self, now: f64) -> Result<(), TrappError> {
+        let dirty = self.store.take_dirty();
+        let mut written = 0;
+        let result = write_dirty(
+            self.session.catalog_mut(),
+            self.store.tables(),
+            &dirty,
+            now,
+            &mut written,
+        );
+        self.store.restore_dirty(dirty, written);
+        result
     }
 
     /// Executes a query from SQL text; see [`CacheNode::execute`].
@@ -325,8 +334,8 @@ impl CacheNode {
     /// transport-backed oracle, and installs the bound functions of every
     /// refresh that arrived — even on error paths (the exact values are
     /// already in the table; the bound functions must follow or the next
-    /// materialization would resurrect stale bounds). Sequence-stale
-    /// refreshes are skipped like in [`CacheNode::install_refresh`].
+    /// materialization would resurrect stale bounds). Installs go through
+    /// the same sequence-ordered path as [`CacheNode::install_refresh`].
     fn with_oracle<R>(
         &mut self,
         transport: &dyn Transport,
@@ -336,59 +345,85 @@ impl CacheNode {
         let mut oracle = SystemOracle {
             cache: self.id,
             now: self.clock.now(),
-            by_cell: &self.by_cell,
-            routes: &self.routes,
+            store: &self.store,
             transport,
             batch: self.batch_refreshes,
             received: Vec::new(),
         };
         let result = f(&mut self.session, &mut oracle);
         let received = oracle.received;
-        for refresh in received {
-            if self
-                .installed_seq
-                .get(&refresh.object)
-                .is_some_and(|&last| refresh.seq < last)
-            {
-                self.stats.stale_skipped += 1;
-                continue;
+        for refresh in &received {
+            // The oracle only requests objects bound here, so an install
+            // is either recorded or sequence-stale.
+            if let Ok(Some(_)) = self.record_install(refresh) {
+                self.stats.query_initiated += 1;
             }
-            self.installed_seq.insert(refresh.object, refresh.seq);
-            self.bounds.insert(refresh.object, refresh.bound);
-            self.dirty_bounds.insert(refresh.object);
-            self.stats.query_initiated += 1;
         }
         result
     }
+}
+
+/// Writes each dirty slot's bound at `now` (`dirty` sorted by table, so
+/// each table is resolved once), counting the slots written.
+fn write_dirty(
+    catalog: &mut trapp_storage::Catalog,
+    tables: &[BoundTable],
+    dirty: &[SlotRef],
+    now: f64,
+    written: &mut usize,
+) -> Result<(), TrappError> {
+    for run in dirty.chunk_by(|a, b| a.0 == b.0) {
+        let t = &tables[run[0].0];
+        let table = catalog.table_mut(&t.name)?;
+        for &(_, index) in run {
+            let slot = &t.slots[index];
+            // Only installs dirty a slot, and they always leave a bound.
+            if let Some(bound) = slot.bound {
+                let cell = BoundedValue::Bounded(bound.interval_at(now));
+                table.update_cell(slot.tuple, slot.column, cell)?;
+            }
+            *written += 1;
+        }
+    }
+    Ok(())
+}
+
+/// The route of `slot` in bound table `table`.
+fn route_of(table: usize, slot: &Slot) -> ObjectRoute {
+    ObjectRoute {
+        source: slot.source,
+        table,
+        tuple: slot.tuple,
+        column: slot.column,
+    }
+}
+
+/// The object backing `table[tuple].column` in `slots` (the table's bound
+/// slots, if any), with its owning source.
+fn object_at(
+    slots: Option<&BoundTable>,
+    table: &str,
+    tuple: TupleId,
+    column: usize,
+) -> Result<(ObjectId, SourceId), TrappError> {
+    slots
+        .and_then(|t| t.slot(tuple, column))
+        .map(|s| (s.object, s.source))
+        .ok_or_else(|| {
+            TrappError::RefreshFailed(format!(
+                "no replicated object backs {table}[{tuple}].{column}"
+            ))
+        })
 }
 
 /// The transport-backed [`RefreshOracle`].
 struct SystemOracle<'a> {
     cache: CacheId,
     now: f64,
-    by_cell: &'a HashMap<CellKey, ObjectId>,
-    routes: &'a HashMap<ObjectId, ObjectRoute>,
+    store: &'a BoundStore,
     transport: &'a dyn Transport,
     batch: bool,
     received: Vec<Refresh>,
-}
-
-impl SystemOracle<'_> {
-    /// The object backing `table[tid].column`, with its owning source.
-    fn object_at(
-        &self,
-        table: &str,
-        tid: TupleId,
-        column: usize,
-    ) -> Result<(ObjectId, SourceId), TrappError> {
-        let key: CellKey = (table.to_owned(), tid, column);
-        let object = self.by_cell.get(&key).ok_or_else(|| {
-            TrappError::RefreshFailed(format!(
-                "no replicated object backs {table}[{tid}].{column}"
-            ))
-        })?;
-        Ok((*object, self.routes[object].source))
-    }
 }
 
 impl RefreshOracle for SystemOracle<'_> {
@@ -398,9 +433,10 @@ impl RefreshOracle for SystemOracle<'_> {
         tid: TupleId,
         columns: &[usize],
     ) -> Result<Vec<f64>, TrappError> {
+        let slots = self.store.table(table);
         let mut out = Vec::with_capacity(columns.len());
         for &column in columns {
-            let (object, source) = self.object_at(table, tid, column)?;
+            let (object, source) = object_at(slots, table, tid, column)?;
             let refresh = self
                 .transport
                 .request_refresh(source, self.cache, object, self.now)?;
@@ -429,12 +465,13 @@ impl RefreshOracle for SystemOracle<'_> {
         }
         // Resolve every cell up front; slot maps (tuple row, column slot)
         // to its position in the per-source request vectors.
+        let bound_slots = self.store.table(table);
         let mut per_source: HashMap<SourceId, Vec<ObjectId>> = HashMap::new();
         let mut slots: Vec<Vec<(SourceId, usize)>> = Vec::with_capacity(tids.len());
         for &tid in tids {
             let mut row = Vec::with_capacity(columns.len());
             for &column in columns {
-                let (object, source) = self.object_at(table, tid, column)?;
+                let (object, source) = object_at(bound_slots, table, tid, column)?;
                 let bucket = per_source.entry(source).or_default();
                 bucket.push(object);
                 row.push((source, bucket.len() - 1));
@@ -481,7 +518,7 @@ mod tests {
     use super::*;
     use crate::source::Source;
     use crate::transport::DirectTransport;
-    use trapp_bounds::BoundShape;
+    use trapp_bounds::{BoundFunction, BoundShape};
     use trapp_storage::{ColumnDef, Schema, Table};
     use trapp_types::{Value, ValueType};
 
@@ -639,6 +676,40 @@ mod tests {
                 1
             )
             .is_err());
+    }
+
+    #[test]
+    fn routes_and_cell_lookups_follow_rebinding() {
+        let (_c, mut cache, _t) = setup();
+        let (t1, t2) = (TupleId::new(1), TupleId::new(2));
+        let route = cache.route(ObjectId::new(1)).unwrap();
+        assert_eq!((route.tuple, route.column), (t1, 1));
+        assert_eq!(cache.bound_table_name(route.table), Some("sensors"));
+        assert_eq!(
+            cache.objects_backing("sensors", t2).unwrap(),
+            vec![(ObjectId::new(2), SourceId::new(1))]
+        );
+
+        // Rebinding a cell replaces its object; the old one is unbound.
+        cache
+            .bind_object(ObjectId::new(3), SourceId::new(2), "sensors", t2, 1)
+            .unwrap();
+        assert!(cache.route(ObjectId::new(2)).is_none());
+        assert_eq!(
+            cache.objects_backing("sensors", t2).unwrap(),
+            vec![(ObjectId::new(3), SourceId::new(2))]
+        );
+        let dark: HashSet<SourceId> = [SourceId::new(2)].into();
+        let on_dark: Vec<_> = cache.tuples_on_sources(&dark).collect();
+        assert_eq!(on_dark, vec![("sensors", t2)]);
+
+        // Moving an object leaves its old cell unbacked.
+        cache
+            .bind_object(ObjectId::new(1), SourceId::new(1), "sensors", t2, 1)
+            .unwrap();
+        assert!(cache.objects_backing("sensors", t1).is_err());
+        let objects: Vec<ObjectId> = cache.objects().map(|(o, _)| o).collect();
+        assert_eq!(objects, vec![ObjectId::new(1)]);
     }
 
     #[test]

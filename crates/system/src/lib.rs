@@ -32,6 +32,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+mod bound_store;
 pub mod cache;
 pub mod chaos;
 pub mod clock;
